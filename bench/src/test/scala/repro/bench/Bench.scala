@@ -5,6 +5,7 @@ import org.apache.spark.sql.types.StructType
 import repro.datalog.{Catalog, Program, ProvQuestion}
 import repro.summarize.{Coverage, Pattern, Summarizer}
 import scala.jdk.CollectionConverters._
+import scala.util.{Failure, Success, Try}
 
 /** Shared helpers for the per-figure benchmark suites: aligned table
   * printing (the "rows the paper reports") and exact-metric evaluation of a
@@ -33,15 +34,16 @@ object Bench {
   /** Run `body` with a wall-clock budget, cancelling its Spark jobs on
     * expiry — mirrors the paper's 30-minute experiment timeout (we use a
     * smaller one; timed-out cells are reported as such, like the omitted
-    * FULL why-not bars in Fig 6).
+    * FULL why-not bars in Fig 6). None on a timeout; a `Failure` when
+    * `body` threw within the budget.
     */
-  def withTimeout[A](spark: SparkSession, seconds: Int)(body: => A): Option[A] = {
+  def withTimeout[A](spark: SparkSession, seconds: Int)(body: => A): Option[Try[A]] = {
     val group  = s"bench-timeout-${System.nanoTime()}"
-    @volatile var result: Option[A] = None
+    @volatile var result: Option[Try[A]] = None
     val worker = new Thread(() => {
       spark.sparkContext.setJobGroup(group, "bench cell", interruptOnCancel = true)
-      try result = Some(body)
-      catch { case _: Throwable => () }
+      try result = Some(Success(body))
+      catch { case e: Throwable => result = Some(Failure(e)) }
       finally spark.sparkContext.clearJobGroup()
     })
     worker.setDaemon(true)
@@ -57,6 +59,12 @@ object Bench {
   /** A row marking a timed-out cell. */
   def timeoutRow(name: String, seconds: Int): Seq[String] =
     Seq(name, "-", "-", "-", "-", "-", s">${seconds}000", "-", "-")
+
+  /** A row marking a cell that threw; the error goes to stderr. */
+  def errorRow(name: String, e: Throwable): Seq[String] = {
+    Console.err.println(s"[bench] $name failed: $e")
+    Seq(name, "-", "-", "-", "-", "-", "error", "-", "-")
+  }
 
   def ms(l: Long): String  = l.toString
   def f3(d: Double): String = f"$d%.3f"

@@ -2,7 +2,7 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.data.{Datasets, Queries}
-import repro.prov.{FullWhyNot, WhyProv}
+import repro.sampling.BatchSampler
 import repro.summarize.{Pattern, Summarizer}
 
 /** Fig 10 reproduction: relative error of the sampling-based quality
@@ -20,10 +20,8 @@ class Fig10QualityErrorBench extends SparkSpec {
 
   test("Fig 10a/10b: r1 why-not over license 1K — sampled cp vs exact cp") {
     val cat  = Datasets.license(spark, 1000)
-    val full = FullWhyNot.derivations(spark, Queries.r1, Queries.r1.rules.head,
-      cat, Queries.whynotR1.tuple).get.cache()
-    val varCols  = Seq("I", "B", "G", "T")
-    val goalCols = Seq("g0", "g1")
+    val full = BatchSampler.sample(spark, Queries.r1, Queries.r1.rules.head, cat,
+      Queries.whynotR1, BatchSampler.Exact).get
     val rows = for {
       nS <- Seq(100, 500, 1000, 5000)
       k  <- Seq(1, 3, 5, 10)
@@ -31,23 +29,21 @@ class Fig10QualityErrorBench extends SparkSpec {
       val res = Summarizer.summarize(spark, Queries.r1, cat, Queries.whynotR1,
         Summarizer.Config(nS = nS, k = k, seed = 17L))
       val approx = res.summary.cpLow
-      val exact  = Bench.exactCompleteness(spark, res.summary.patterns, full,
-        varCols, goalCols)
+      val exact  = Bench.exactCompleteness(spark, res.summary.patterns, full.sample,
+        full.varCols, full.goalColNames)
       Seq(s"S$nS", k.toString, Bench.f3(approx), Bench.f3(exact),
         Bench.f3(relErr(approx, exact)))
     }
     Bench.table("Fig 10a/10b — r1 why-not quality error (license 1K)",
       Seq("sample", "k", "cp_sampled", "cp_exact", "rel_err"), rows)
-    full.unpersist()
+    full.sample.unpersist()
     assert(rows.size == 16)
   }
 
   test("Fig 10: r1 why over license 10K — sampled cp vs exact cp") {
     val cat  = Datasets.license(spark, 10000)
-    val full = WhyProv.derivations(spark, Queries.r1, Queries.r1.rules.head,
-      cat, Queries.whyR1.tuple).get.cache()
-    val varCols  = Seq("I", "B", "G", "T")
-    val goalCols = Seq("g0", "g1")
+    val full = BatchSampler.sample(spark, Queries.r1, Queries.r1.rules.head, cat,
+      Queries.whyR1, BatchSampler.Exact).get
     val rows = for {
       nS <- Seq(100, 500, 1000)
       k  <- Seq(1, 3, 5)
@@ -55,14 +51,14 @@ class Fig10QualityErrorBench extends SparkSpec {
       val res = Summarizer.summarize(spark, Queries.r1, cat, Queries.whyR1,
         Summarizer.Config(nS = nS, k = k, seed = 17L))
       val approx = res.summary.cpLow
-      val exact  = Bench.exactCompleteness(spark, res.summary.patterns, full,
-        varCols, goalCols)
+      val exact  = Bench.exactCompleteness(spark, res.summary.patterns, full.sample,
+        full.varCols, full.goalColNames)
       Seq(s"S$nS", k.toString, Bench.f3(approx), Bench.f3(exact),
         Bench.f3(relErr(approx, exact)))
     }
     Bench.table("Fig 10 — r1 why quality error (license 10K)",
       Seq("sample", "k", "cp_sampled", "cp_exact", "rel_err"), rows)
-    full.unpersist()
+    full.sample.unpersist()
     assert(rows.size == 9)
   }
 

@@ -4,6 +4,7 @@ import repro.SparkSpec
 import repro.baseline.{ArtemisSim, SingleDerivation}
 import repro.data.{Datasets, Queries}
 import repro.summarize.Summarizer
+import scala.util.{Failure, Success}
 
 /** Fig 12 reproduction: PUG-Summ vs the two baselines.
   *
@@ -27,8 +28,11 @@ class Fig12ComparisonBench extends SparkSpec {
           Queries.whynotCrimeDesc))
       }
       val (artMs, artTop) = artemis match {
-        case Some((ex, t)) =>
+        case Some(Success((ex, t))) =>
           (t.toString, ex.headOption.map(_._1.args.count(_.isDefined).toString).getOrElse("-"))
+        case Some(Failure(e)) =>
+          Console.err.println(s"[bench] Artemis-sim at $n rows failed: $e")
+          ("error", "-")
         case None => (s">${timeout}000", "-")
       }
       val pugTopConsts = pug.summary.patterns.headOption

@@ -3,6 +3,7 @@ package repro.bench
 import repro.SparkSpec
 import repro.data.{Datasets, Queries}
 import repro.summarize.Summarizer
+import scala.util.{Failure, Success}
 
 /** Fig 6 reproduction: per-stage runtime of top-3 summarization varying
   * dataset size and sample size, for why and why-not provenance, on r1
@@ -35,11 +36,16 @@ class Fig6DatasetSizeBench extends SparkSpec {
         // the paper reports it never finishes even at 1K rows. Give it a
         // budget and report the timeout.
         val cat     = Datasets.license(spark, 1000L)
+        val name    = "r1/whynot n=1000 FULL"
         val timeout = 120
         Bench.withTimeout(spark, timeout) {
-          Bench.run(spark, "r1/whynot n=1000 FULL", Queries.r1, cat, Queries.whynotR1,
+          Bench.run(spark, name, Queries.r1, cat, Queries.whynotR1,
             Summarizer.Config(k = 3, full = true, maxPatterns = 200))._2
-        }.getOrElse(Bench.timeoutRow("r1/whynot n=1000 FULL", timeout))
+        } match {
+          case Some(Success(row)) => row
+          case Some(Failure(e))   => Bench.errorRow(name, e)
+          case None               => Bench.timeoutRow(name, timeout)
+        }
       }
     Bench.table("Fig 6a/6b — r1 (license), top-3", Bench.RunHeader, rows ++ fullRows)
     assert(rows.nonEmpty)

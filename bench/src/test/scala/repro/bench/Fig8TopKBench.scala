@@ -2,7 +2,6 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.data.{Datasets, Queries}
-import repro.datalog.Whynot
 import repro.sampling.BatchSampler
 import repro.summarize.{Coverage, Lca, TopK}
 
@@ -17,11 +16,7 @@ class Fig8TopKBench extends SparkSpec {
                        pq: repro.datalog.ProvQuestion, nS: Int) = {
     val cfg = BatchSampler.Config(nS = nS, seed = 42L)
     program.rules.flatMap { r =>
-      val sOpt = pq.qtype match {
-        case Whynot => BatchSampler.whynotSample(spark, program, r, cat, pq.tuple, cfg)
-        case _      => BatchSampler.whySample(spark, program, r, cat, pq.tuple, cfg)
-      }
-      sOpt.toSeq.flatMap { s =>
+      BatchSampler.sample(spark, program, r, cat, pq, cfg).toSeq.flatMap { s =>
         val c       = Lca.candidates(s.sample, s.varCols, s.goalColNames)
         val counted = Coverage.matchCounts(c, s.sample, s.varCols, s.goalColNames)
         Coverage.collectPatterns(r.name, counted, s.varCols, s.goalColNames,

@@ -52,11 +52,7 @@ object Summarize {
     val nS       = args.lift(2).map(_.toInt).getOrElse(1000)
     val k        = args.lift(3).map(_.toInt).getOrElse(3)
 
-    val spark = SparkSession.builder
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName(s"summarize-$caseName")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .getOrCreate()
+    val spark = repro.Spark.session(s"summarize-$caseName")
     try {
       val all = cases(spark, rows)
       val (program, catalog, question) = all.getOrElse(caseName,

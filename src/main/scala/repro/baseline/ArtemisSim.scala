@@ -1,8 +1,8 @@
 package repro.baseline
 
-import org.apache.spark.sql.{Row, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.datalog._
-import repro.prov.{FullWhyNot, WhyProv}
+import repro.sampling.BatchSampler
 import repro.summarize.Pattern
 
 /** All-derivations baseline standing in for Artemis [13] (paper §9.3).
@@ -32,15 +32,10 @@ object ArtemisSim {
       pq: ProvQuestion,
   ): Vector[(Pattern, Double)] = {
     val perRule = program.rules.flatMap { r =>
-      val dfOpt = pq.qtype match {
-        case Whynot => FullWhyNot.derivations(spark, program, r, catalog, pq.tuple)
-        case Why    => WhyProv.derivations(spark, program, r, catalog, pq.tuple)
-      }
-      dfOpt.map { df =>
-        val u       = Unify.unify(r, pq.tuple).get
-        val nVars   = u.unboundVars.size
-        val rows    = df.collect() // all-derivations: the whole space, client-side
-        (r.name, nVars, rows)
+      BatchSampler.sample(spark, program, r, catalog, pq, BatchSampler.Exact).map { s =>
+        // all-derivations: the whole space, client-side
+        val rows = try s.sample.collect() finally s.sample.unpersist()
+        (r.name, s.varCols.size, rows)
       }
     }
     val total = perRule.map(_._3.length.toLong).sum.toDouble

@@ -9,8 +9,8 @@ import repro.datalog._
   * A derivation DataFrame for a unified rule `r_t` has one column per
   * unbound variable (named after it); an *annotated* derivation DataFrame
   * additionally has boolean columns `g0..g(m-1)`, one per body atom, in body
-  * order (paper Def. 1). Both the batch sampler (§5.2) and the FULL
-  * enumeration baseline build on these pieces.
+  * order (paper Def. 1). `BatchSampler.sample` builds every derivation
+  * set, exact or sampled, from these pieces.
   */
 object DerivationOps {
 
@@ -124,9 +124,9 @@ object DerivationOps {
   }
 
   /** The annotated derivation of a fully ground unified rule (no unbound
-    * variables): zero rows if the rule contributes nothing (comparisons
-    * violated or, for Whynot, the head exists), otherwise one row holding
-    * only goal columns.
+    * variables) whose ground comparisons hold: zero rows if the rule
+    * contributes nothing (for Why, a goal fails; for Whynot, every goal
+    * holds or the head exists), otherwise one row holding only goal columns.
     */
   def groundDerivation(
       spark: SparkSession,
@@ -140,7 +140,6 @@ object DerivationOps {
     val unit = spark.range(1).drop("id")
     val empty = spark.range(0).drop("id")
       .select(goalCols(m).map(g => lit(false).as(g)): _*)
-    if (!groundComparisonsHold(unified)) return empty
     val flags = unified.atoms.map { atom =>
       val exists = !DatalogEval.atomBindings(atom.copy(negated = false), catalog).isEmpty
       exists != atom.negated

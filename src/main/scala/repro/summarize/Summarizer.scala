@@ -42,7 +42,8 @@ object Summarizer {
       nOSCap: Long = 2_000_000L,
       maxPatterns: Int = 300,
       maxPops: Long = 3000L,
-      /** When true, why-not uses FULL enumeration instead of sampling —
+      /** When true, derivations come from [[BatchSampler.Exact]]: every
+        * why derivation and a FULL why-not enumeration instead of a sample —
         * the paper's FULL baseline (only feasible for tiny domains).
         */
       full: Boolean = false,
@@ -64,22 +65,14 @@ object Summarizer {
       pq: ProvQuestion,
       cfg: Config = Config(),
   ): Result = {
-    // FULL mode: never sample — enumerate why-not exactly (fullEnumFactor=∞
-    // forces the enumeration branch) and keep every why derivation.
-    val samplerCfg = BatchSampler.Config(
-      nS = if (cfg.full) Int.MaxValue else cfg.nS,
-      pSuccess = cfg.pSuccess, seed = cfg.seed, nOSCap = cfg.nOSCap,
-      fullEnumFactor = if (cfg.full) Double.MaxValue else 4.0)
+    val samplerCfg =
+      if (cfg.full) BatchSampler.Exact
+      else BatchSampler.Config(nS = cfg.nS, pSuccess = cfg.pSuccess, seed = cfg.seed, nOSCap = cfg.nOSCap)
 
     // Stage 1: per-rule provenance samples (the count() inside the sampler
     // materializes the cached sample, so the timing covers the real work).
     val (samples, sampleMs) = timed {
-      program.rules.flatMap { r =>
-        pq.qtype match {
-          case Whynot => BatchSampler.whynotSample(spark, program, r, catalog, pq.tuple, samplerCfg)
-          case Why    => BatchSampler.whySample(spark, program, r, catalog, pq.tuple, samplerCfg)
-        }
-      }
+      program.rules.flatMap(r => BatchSampler.sample(spark, program, r, catalog, pq, samplerCfg))
     }
     if (samples.isEmpty)
       return Result(pq, TopK.Summary(Vector.empty, 0, 0, 0, 0, 0, optimal = true, 0),

@@ -3,7 +3,6 @@ package repro.baseline
 import repro.SparkSpec
 import repro.data.{Datasets, Queries}
 import repro.datalog._
-import repro.prov.FullWhyNot
 
 class BaselineSpec extends SparkSpec {
 
@@ -14,8 +13,7 @@ class BaselineSpec extends SparkSpec {
     val e = SingleDerivation.explain(spark, Queries.airbnb, airbnb, Queries.whynotAirbnb).get
     assert(e.ruleName == "rA")
     assert(e.args.size == 5 && e.goals.size == 2)
-    val full = FullWhyNot.derivations(spark, Queries.airbnb, Queries.airbnb.rules.head,
-      airbnb, Queries.whynotAirbnb.tuple).get
+    val full = exact(Queries.airbnb, airbnb, Queries.whynotAirbnb.tuple, Whynot).get
     val fullSet = full.collect().map(r => r.toSeq.map(String.valueOf(_)).mkString("|")).toSet
     val key = (e.args ++ e.goals).map(String.valueOf(_)).mkString("|")
     assert(fullSet.contains(key), s"$key not in why-not provenance")
@@ -64,6 +62,13 @@ class BaselineSpec extends SparkSpec {
     // 6 derivations with X=2. Groups by goal vector; each folded pattern
     // must retain X=2 (all members agree on it).
     ex.foreach { case (p, _) => assert(p.args.head.contains(2L), s"$p") }
+  }
+
+  test("Artemis sim leaves nothing cached") {
+    spark.catalog.clearCache()
+    val before = spark.sparkContext.getPersistentRDDs.size
+    assert(ArtemisSim.explain(spark, Queries.airbnb, airbnb, Queries.whynotAirbnb).nonEmpty)
+    assert(spark.sparkContext.getPersistentRDDs.size == before)
   }
 
   test("Artemis sim on why provenance folds successful derivations") {

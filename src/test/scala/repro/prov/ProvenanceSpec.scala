@@ -20,8 +20,7 @@ class ProvenanceSpec extends SparkSpec {
   // ------------------------------------------------------------ why capture
 
   test("why derivations of Qex(X,4) are the successful derivations of (1,4)") {
-    val df = WhyProv.derivations(spark, Queries.rEx, Queries.rEx.rules.head, rex,
-      PTuple("Qex", Vector(Var("X"), Const(4L)))).get
+    val df = exact(Queries.rEx, rex, PTuple("Qex", Vector(Var("X"), Const(4L))), Why).get
     val got = df.collect().map(r => (r.getLong(0), r.getLong(1))).toSet
     assert(got == Set((1L, 2L))) // X=1, Z=2 — the only successful derivation
     assert(df.columns.toSeq == Seq("X", "Z", "g0", "g1"))
@@ -29,35 +28,29 @@ class ProvenanceSpec extends SparkSpec {
   }
 
   test("why derivations of the airbnb query match its two answers") {
-    val df = WhyProv.derivations(spark, Queries.airbnb, Queries.airbnb.rules.head,
-      airbnb, PTuple("AL", Vector(Var("N"), Var("R")))).get
+    val df = exact(Queries.airbnb, airbnb, PTuple("AL", Vector(Var("N"), Var("R"))), Why).get
     // Successful: cozy homebase (2445, $45) and modern view (2332, $350).
     assert(df.count() == 2)
   }
 
   test("why derivations respect a constant-bound head") {
-    val df = WhyProv.derivations(spark, Queries.airbnb, Queries.airbnb.rules.head,
-      airbnb, PTuple("AL", Vector(Const("modern view"), Var("R")))).get
+    val df = exact(Queries.airbnb, airbnb, PTuple("AL", Vector(Const("modern view"), Var("R"))), Why).get
     assert(df.count() == 1)
   }
 
   test("why provenance of an unmatched p-tuple is empty") {
-    val df = WhyProv.derivations(spark, Queries.airbnb, Queries.airbnb.rules.head,
-      airbnb, tAirbnb).get
-    assert(df.isEmpty) // no shared room is an answer
+    assert(exact(Queries.airbnb, airbnb, tAirbnb, Why).isEmpty) // no shared room is an answer
   }
 
   // ------------------------------------------------- full why-not (Fig 1)
 
   test("Ex 1: 2160 why-not derivations for AL(N, shared) on S-Airbnb") {
-    val df = FullWhyNot.derivations(spark, Queries.airbnb, Queries.airbnb.rules.head,
-      airbnb, tAirbnb).get
+    val df = exact(Queries.airbnb, airbnb, tAirbnb, Whynot).get
     assert(df.count() == 2160) // 6 names × 6 ids × 3 ptypes × 5 neighbors × 4 prices
   }
 
   test("Ex 3: pattern p1 (apt, goals TF) covers 8 of 2160 derivations") {
-    val df = FullWhyNot.derivations(spark, Queries.airbnb, Queries.airbnb.rules.head,
-      airbnb, tAirbnb).get
+    val df = exact(Queries.airbnb, airbnb, tAirbnb, Whynot).get
     // Vars of unified rule: I, N (head), T, E, P → first-occurrence order
     // is N (head) then I, T, E, P.
     val u = Unify.unify(Queries.airbnb.rules.head, tAirbnb).get
@@ -82,7 +75,7 @@ class ProvenanceSpec extends SparkSpec {
     import spark.implicits._
     val d6  = Seq(1L, 2L, 3L, 4L, 5L, 6L).toDF("v")
     val cat = rex.withDomain("R", 0, d6).withDomain("R", 1, d6)
-    val df  = FullWhyNot.derivations(spark, Queries.rEx, Queries.rEx.rules.head, cat, tEx).get
+    val df  = exact(Queries.rEx, cat, tEx, Whynot).get
     // X ∈ {1,2,3} (X < 4), Z ∈ {1..6} = 18 bindings, minus the 6 derivations
     // of the existing answer (1,4) → 12.
     assert(df.count() == 12)
@@ -93,7 +86,7 @@ class ProvenanceSpec extends SparkSpec {
     import spark.implicits._
     val d6  = Seq(1L, 2L, 3L, 4L, 5L, 6L).toDF("v")
     val cat = rex.withDomain("R", 0, d6).withDomain("R", 1, d6)
-    val df  = FullWhyNot.derivations(spark, Queries.rEx, Queries.rEx.rules.head, cat, tEx).get
+    val df  = exact(Queries.rEx, cat, tEx, Whynot).get
     val got = df.where(col("X") === 2L).collect()
       .map(r => (r.getLong(r.fieldIndex("Z")),
         (r.getBoolean(r.fieldIndex("g0")), r.getBoolean(r.fieldIndex("g1"))))).toMap
@@ -109,7 +102,7 @@ class ProvenanceSpec extends SparkSpec {
     import spark.implicits._
     val d6  = Seq(1L, 2L, 3L, 4L, 5L, 6L).toDF("v")
     val cat = rex.withDomain("R", 0, d6).withDomain("R", 1, d6)
-    val df  = FullWhyNot.derivations(spark, Queries.rEx, Queries.rEx.rules.head, cat, tEx).get
+    val df  = exact(Queries.rEx, cat, tEx, Whynot).get
       .select(col("X"), col("Z"), col("g0").cast("string").as("g0"),
         col("g1").cast("string").as("g1"))
     Oracle.assertEquivalent(df,
@@ -132,7 +125,7 @@ class ProvenanceSpec extends SparkSpec {
   }
 
   test("why-not excludes derivations of existing answers") {
-    val df = FullWhyNot.derivations(spark, Queries.rEx, Queries.rEx.rules.head, rex, tEx).get
+    val df = exact(Queries.rEx, rex, tEx, Whynot).get
     val answers = DatalogEval.restrictedAnswers(Queries.rEx, rex, tEx)
       .collect().map(_.getLong(0)).toSet
     val xs = df.select("X").collect().map(_.getLong(0)).toSet
@@ -142,7 +135,7 @@ class ProvenanceSpec extends SparkSpec {
   test("negated-goal annotation is inverted (r1 on a small license set)") {
     val cat = Datasets.license(spark, 200)
     val t   = PTuple("InvalidD", Vector(Const("swanton")))
-    val df  = FullWhyNot.derivations(spark, Queries.r1, Queries.r1.rules.head, cat, t).get
+    val df  = exact(Queries.r1, cat, t, Whynot).get
     // Swanton licenses all VALID: derivations grounded on a real swanton
     // class-d license have g0 = T (listing exists) and g1 = F (¬VALID fails
     // because the id IS valid).
@@ -158,7 +151,7 @@ class ProvenanceSpec extends SparkSpec {
     val t  = PTuple("Qex", Vector(Const(2L), Const(4L)))
     val u  = Unify.unify(Queries.rEx.rules.head, t).get
     assert(u.unboundVars.map(_.name) == Vector("Z"))
-    val df = FullWhyNot.derivations(spark, Queries.rEx, Queries.rEx.rules.head, rex, t).get
+    val df = exact(Queries.rEx, rex, t, Whynot).get
     // Z ranges over adom of R's columns = {1,2,3,4,5,6}; (2,4) is missing →
     // all Z bindings are why-not derivations.
     assert(df.count() == 6)
@@ -166,13 +159,12 @@ class ProvenanceSpec extends SparkSpec {
 
   test("ground derivation helper: violated comparison yields empty") {
     val t  = PTuple("Qex", Vector(Const(5L), Const(4L))) // 5 < 4 is false
-    assert(FullWhyNot.derivations(spark, Queries.rEx, Queries.rEx.rules.head, rex, t).isEmpty)
+    assert(exact(Queries.rEx, rex, t, Whynot).isEmpty)
   }
 
   test("why-not of an existing answer is empty") {
     val t  = PTuple("Qex", Vector(Const(1L), Const(4L))) // (1,4) exists
-    val df = FullWhyNot.derivations(spark, Queries.rEx, Queries.rEx.rules.head, rex, t).get
-    assert(df.isEmpty)
+    assert(exact(Queries.rEx, rex, t, Whynot).isEmpty)
   }
 
   test("varDomain unions the domains of all attributes a variable binds to") {

@@ -4,7 +4,6 @@ import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.data.{Datasets, Queries}
 import repro.datalog._
-import repro.prov.FullWhyNot
 
 class BatchSamplerSpec extends SparkSpec {
 
@@ -52,7 +51,7 @@ class BatchSamplerSpec extends SparkSpec {
     val s = BatchSampler.whynotSample(spark, Queries.rEx, Queries.rEx.rules.head,
       rex, tEx, cfg).get
     assert(s.exact)
-    val full = FullWhyNot.derivations(spark, Queries.rEx, Queries.rEx.rules.head, rex, tEx).get
+    val full = exact(Queries.rEx, rex, tEx, Whynot).get
     assert(s.sampleCount == full.count())
   }
 
@@ -60,8 +59,7 @@ class BatchSamplerSpec extends SparkSpec {
     val s = BatchSampler.whynotSample(spark, Queries.airbnb, Queries.airbnb.rules.head,
       airbnb, tAirbnb, cfg).get
     assert(s.sampleCount > 0)
-    val full = FullWhyNot.derivations(spark, Queries.airbnb, Queries.airbnb.rules.head,
-      airbnb, tAirbnb).get
+    val full = exact(Queries.airbnb, airbnb, tAirbnb, Whynot).get
     // Every sampled row appears in the full enumeration (compare as strings).
     val fullSet = full.collect().map(_.mkString("|")).toSet
     s.sample.collect().foreach(r => assert(fullSet.contains(r.mkString("|")), r))
@@ -74,8 +72,7 @@ class BatchSamplerSpec extends SparkSpec {
       airbnb, tAirbnb, forced).get
     assert(!s.exact)
     assert(s.nOS >= 100)
-    val full = FullWhyNot.derivations(spark, Queries.airbnb, Queries.airbnb.rules.head,
-      airbnb, tAirbnb).get
+    val full = exact(Queries.airbnb, airbnb, tAirbnb, Whynot).get
     val fullSet = full.collect().map(_.mkString("|")).toSet
     val rows    = s.sample.collect()
     assert(rows.nonEmpty && rows.length <= 100)
@@ -151,6 +148,22 @@ class BatchSamplerSpec extends SparkSpec {
     assert(s.sampleCount == 10)
     assert(!s.exact)
     assert(s.provEstimate > 10)
+  }
+
+  test("same seed, same sample: row digests at seed 42") {
+    def digest(s: BatchSampler.RuleSample): String = {
+      val rows = s.sample.collect().map(_.mkString("|")).sorted.mkString("\n")
+      java.security.MessageDigest.getInstance("SHA-256")
+        .digest(rows.getBytes("UTF-8")).map("%02x".format(_)).mkString
+    }
+    val r1 = BatchSampler.sample(spark, Queries.r1, Queries.r1.rules.head,
+      Datasets.license(spark, 2000), Queries.whynotR1, BatchSampler.Config(nS = 200, seed = 42L)).get
+    assert((r1.exact, r1.sampleCount, r1.nOS) == ((false, 200L, 200L)))
+    assert(digest(r1) == "0096a4ac554e1f2f0ad5c60720b8c5a2d9dc53b82be1ec64ca02d5f3e67ecfb0")
+    val forced = BatchSampler.sample(spark, Queries.airbnb, Queries.airbnb.rules.head, airbnb,
+      Queries.whynotAirbnb, BatchSampler.Config(nS = 100, seed = 42L, fullEnumFactor = 0.0)).get
+    assert((forced.exact, forced.sampleCount, forced.nOS) == ((false, 98L, 100L)))
+    assert(digest(forced) == "9a2125c4f6ff409762795bf0a84eeb9147a8a772eb90783cd18f52116aae7a73")
   }
 
   test("takeN is deterministic and bounded") {

@@ -72,11 +72,10 @@ class CoverageSpec extends SparkSpec {
 
   test("LCA + coverage on the full airbnb why-not provenance reproduces cp(p1) = 8/2160") {
     import repro.data.{Datasets, Queries}
-    import repro.datalog.{Const, PTuple, Var}
+    import repro.datalog.{Const, PTuple, Var, Whynot}
     val airbnb = Datasets.airbnb(spark)
     val t      = PTuple("AL", Vector(Var("N"), Const("shared")))
-    val full = repro.prov.FullWhyNot
-      .derivations(spark, Queries.airbnb, Queries.airbnb.rules.head, airbnb, t).get.cache()
+    val full = exact(Queries.airbnb, airbnb, t, Whynot).get
     val n = full.count()
     assert(n == 2160)
     val vcols = Seq("N", "I", "T", "E", "P")

@@ -55,11 +55,46 @@ class SummarizerSpec extends SparkSpec {
   }
 
   test("empty provenance yields an empty summary") {
-    val res = Summarizer.summarize(spark, Queries.rEx, rex,
-      ProvQuestion(PTuple("Qex", Vector(Const(1L), Const(4L))), Whynot),
-      Summarizer.Config(nS = 10, k = 3))
-    assert(res.summary.patterns.isEmpty)
-    assert(res.allPatterns.isEmpty)
+    // The second program is fully ground after unification, and R(1,2) exists.
+    val ground = Program(Rule("q", "Q", Vector(Var("A"), Var("B")),
+      Vector(Atom("R", Vector(Var("A"), Var("B"))))))
+    Seq(
+      (Queries.rEx, ProvQuestion(PTuple("Qex", Vector(Const(1L), Const(4L))), Whynot)),
+      (ground, ProvQuestion(PTuple("Q", Vector(Const(1L), Const(2L))), Whynot)),
+    ).foreach { case (program, pq) =>
+      val res = Summarizer.summarize(spark, program, rex, pq, Summarizer.Config(nS = 10, k = 3))
+      assert(res.summary.patterns.isEmpty, pq)
+      assert(res.allPatterns.isEmpty && res.ruleSamples.isEmpty, pq)
+    }
+  }
+
+  test("FULL reports derivations whose estimated draw probability is 0") {
+    // Singleton domains X ∈ {1}, Y ∈ {2}: cmpSelectivity(<, 1, 1) = 0, yet
+    // both bindings of Z ∈ {1, 2} are why-not derivations of Qex(1, 2).
+    import spark.implicits._
+    val cat = rex.withDomain("R", 0, Seq(1L).toDF("v")).withDomain("R", 1, Seq(2L).toDF("v"))
+    val res = Summarizer.summarize(spark, Queries.rEx, cat,
+      ProvQuestion(PTuple("Qex", Vector(Var("X"), Var("Y"))), Whynot),
+      Summarizer.Config(k = 3, full = true))
+    assert(res.ruleSamples.map(s => (s.sampleCount, s.exact)) == Vector((2L, true)))
+    assert(res.provEstimate == 2.0)
+    assert(res.summary.patterns.nonEmpty)
+  }
+
+  test("summarize leaves exactly its returned samples cached") {
+    val lic = Datasets.license(spark, 2000)
+    Seq(
+      (Queries.r1, lic, Queries.whynotR1, Summarizer.Config(nS = 200)), // sampled why-not
+      (Queries.r1, lic, Queries.whyR1, Summarizer.Config(nS = 10)),     // why, cut to n_S
+      (Queries.airbnb, airbnb, Queries.whynotAirbnb, Summarizer.Config(full = true)),
+    ).foreach { case (program, cat, pq, cfg) =>
+      spark.catalog.clearCache()
+      val before = spark.sparkContext.getPersistentRDDs.size
+      val res    = Summarizer.summarize(spark, program, cat, pq, cfg)
+      assert(res.ruleSamples.nonEmpty, pq)
+      assert(spark.sparkContext.getPersistentRDDs.size - before == res.ruleSamples.size, pq)
+      res.ruleSamples.foreach(_.sample.unpersist())
+    }
   }
 
   test("union query: summary draws patterns per rule and weights them") {
