@@ -25,6 +25,12 @@ object Bench {
     rows.foreach(r => println(fmt(r)))
   }
 
+  /** `cat` with every relation materialized by an eager `localCheckpoint`,
+    * so that timing a call on it does not charge the data generation.
+    */
+  def pinned(cat: Catalog): Catalog =
+    cat.relationNames.foldLeft(cat)((c, n) => c.withRelation(n, c.relation(n).localCheckpoint(eager = true)))
+
   def timeMs[A](body: => A): (A, Long) = {
     val t0 = System.nanoTime()
     val a  = body
@@ -94,14 +100,10 @@ object Bench {
   ): Double = {
     val total = full.count()
     if (total == 0 || patterns.isEmpty) return 0.0
-    import org.apache.spark.sql.functions._
     val nullable = StructType(full.schema.fields.map(_.copy(nullable = true)))
     val pdf  = patternsToDf(spark, patterns, nullable)
-    val s    = full.toDF(full.columns.map("__s_" + _).toIndexedSeq: _*)
-    val goalEq = goalColNames.map(g => col(g) === col(s"__s_$g"))
-    val varOk  = varCols.map(v => col(v).isNull || col(v) === col(s"__s_$v"))
-    val cond   = (goalEq ++ varOk).reduce(_ && _)
-    val covered = s.join(pdf, cond, "left_semi").distinct().count()
+    val covered = Coverage.renamed(full, "__s_")
+      .join(pdf, Coverage.matchCondition(varCols, goalColNames), "left_semi").distinct().count()
     covered.toDouble / total
   }
 

@@ -18,7 +18,7 @@ class Fig12ComparisonBench extends SparkSpec {
 
   test("Fig 12a: PUG-Summ vs Artemis (all-derivations) on crime-witness data") {
     val rows = for (n <- Seq(1400L, 5000L, 11000L, 22000L)) yield {
-      val cat = Datasets.crimeWitness(spark, n)
+      val cat = Bench.pinned(Datasets.crimeWitness(spark, n))
       val nS  = (n / 10).toInt
       val (pug, pugMs) = Bench.timeMs(Summarizer.summarize(spark, Queries.crimeDesc,
         cat, Queries.whynotCrimeDesc, Summarizer.Config(nS = nS, k = 5)))
@@ -48,7 +48,7 @@ class Fig12ComparisonBench extends SparkSpec {
 
   test("Fig 12b: PUG-Summ vs single-derivation on r1 why-not") {
     val rows = for (n <- Seq(1000L, 5000L, 20000L, 50000L)) yield {
-      val cat = Datasets.license(spark, n)
+      val cat = Bench.pinned(Datasets.license(spark, n))
       val (_, singleMs) = Bench.timeMs(
         SingleDerivation.explain(spark, Queries.r1, cat, Queries.whynotR1))
       val (res, pugMs) = Bench.timeMs(Summarizer.summarize(spark, Queries.r1, cat,

@@ -20,7 +20,7 @@ class Fig6DatasetSizeBench extends SparkSpec {
   test("Fig 6a/6b: r1 why and why-not, varying dataset and sample size") {
     val rows = for {
       n  <- licSizes
-      cat = Datasets.license(spark, n)
+      cat = Bench.pinned(Datasets.license(spark, n))
       (pq, tag) <- Seq((Queries.whyR1, "why"), (Queries.whynotR1, "whynot"))
       nS <- samples
     } yield Bench.run(spark, s"r1/$tag n=$n S$nS", Queries.r1, cat, pq,
@@ -28,14 +28,14 @@ class Fig6DatasetSizeBench extends SparkSpec {
     // FULL why at the two smaller sizes; FULL why-not only at 1K (space ~720K).
     val fullRows =
       (for (n <- licSizes.take(2)) yield {
-        val cat = Datasets.license(spark, n)
+        val cat = Bench.pinned(Datasets.license(spark, n))
         Bench.run(spark, s"r1/why n=$n FULL", Queries.r1, cat, Queries.whyR1,
           Summarizer.Config(k = 3, full = true))._2
       }) :+ {
         // FULL why-not does LCA over ~7·10^5 derivations (≈ 2.6·10^11 pairs):
         // the paper reports it never finishes even at 1K rows. Give it a
         // budget and report the timeout.
-        val cat     = Datasets.license(spark, 1000L)
+        val cat     = Bench.pinned(Datasets.license(spark, 1000L))
         val name    = "r1/whynot n=1000 FULL"
         val timeout = 120
         Bench.withTimeout(spark, timeout) {
@@ -54,7 +54,7 @@ class Fig6DatasetSizeBench extends SparkSpec {
   test("Fig 6c/6d: r3 why and why-not") {
     val rows = for {
       n  <- movSizes
-      cat = Datasets.movies(spark, n)
+      cat = Bench.pinned(Datasets.movies(spark, n))
       (pq, tag) <- Seq((Queries.whyR3, "why"), (Queries.whynotR3, "whynot"))
       nS <- samples
     } yield Bench.run(spark, s"r3/$tag n=$n S$nS", Queries.r3, cat, pq,
@@ -66,7 +66,7 @@ class Fig6DatasetSizeBench extends SparkSpec {
   test("Fig 6e/6f: r4 (union of three rules) why and why-not") {
     val rows = for {
       n  <- movSizes
-      cat = Datasets.movies(spark, n)
+      cat = Bench.pinned(Datasets.movies(spark, n))
       (pq, tag) <- Seq((Queries.whyR4, "why"), (Queries.whynotR4, "whynot"))
       nS <- samples
     } yield Bench.run(spark, s"r4/$tag n=$n S$nS", Queries.r4, cat, pq,

@@ -14,7 +14,7 @@ class Fig7MoreQueriesBench extends SparkSpec {
   test("Fig 7a/7b: r2 why and why-not") {
     val rows = for {
       n  <- Seq(1000L, 10000L, 100000L)
-      cat = Datasets.license(spark, n)
+      cat = Bench.pinned(Datasets.license(spark, n))
       (pq, tag) <- Seq((Queries.whyR2, "why"), (Queries.whynotR2, "whynot"))
       nS <- samples
     } yield Bench.run(spark, s"r2/$tag n=$n S$nS", Queries.r2, cat, pq,
@@ -26,7 +26,7 @@ class Fig7MoreQueriesBench extends SparkSpec {
   test("Fig 7c/7d: r11 why and why-not") {
     val rows = for {
       n  <- Seq(1000L, 10000L)
-      cat = Datasets.movies(spark, n)
+      cat = Bench.pinned(Datasets.movies(spark, n))
       (pq, tag) <- Seq((Queries.whyR11, "why"), (Queries.whynotR11, "whynot"))
       nS <- samples
     } yield Bench.run(spark, s"r11/$tag n=$n S$nS", Queries.r11, cat, pq,
@@ -38,7 +38,7 @@ class Fig7MoreQueriesBench extends SparkSpec {
   test("Fig 7e/7f: r12 why and why-not") {
     val rows = for {
       n  <- Seq(1000L, 10000L)
-      cat = Datasets.movies(spark, n)
+      cat = Bench.pinned(Datasets.movies(spark, n))
       (pq, tag) <- Seq((Queries.whyR12, "why"), (Queries.whynotR12, "whynot"))
       nS <- samples
     } yield Bench.run(spark, s"r12/$tag n=$n S$nS", Queries.r12, cat, pq,

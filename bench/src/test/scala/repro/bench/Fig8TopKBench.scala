@@ -15,14 +15,12 @@ class Fig8TopKBench extends SparkSpec {
   private def patterns(program: repro.datalog.Program, cat: repro.datalog.Catalog,
                        pq: repro.datalog.ProvQuestion, nS: Int) = {
     val cfg = BatchSampler.Config(nS = nS, seed = 42L)
-    program.rules.flatMap { r =>
-      BatchSampler.sample(spark, program, r, cat, pq, cfg).toSeq.flatMap { s =>
-        val c       = Lca.candidates(s.sample, s.varCols, s.goalColNames)
-        val counted = Coverage.matchCounts(c, s.sample, s.varCols, s.goalColNames)
-        Coverage.collectPatterns(r.name, counted, s.varCols, s.goalColNames,
-          s.sampleCount, 1.0)
-      }
-    }.toVector
+    BatchSampler.sampleRules(spark, program, program.rules, cat, pq, cfg).flatMap { s =>
+      val c       = Lca.candidates(s.sample, s.varCols, s.goalColNames)
+      val counted = Coverage.matchCounts(c, s.sample, s.varCols, s.goalColNames)
+      Coverage.collectPatterns(s.rule.name, counted, s.varCols, s.goalColNames,
+        s.sampleCount, 1.0)
+    }
   }
 
   test("Fig 8: top-k runtime for k = 1..10 with patterns as input") {

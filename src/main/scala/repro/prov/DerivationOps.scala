@@ -29,14 +29,26 @@ object DerivationOps {
       catalog.domain(unified.atoms(ai).relation, ti)
     }
     var dom = doms.reduce(_.union(_)).distinct().toDF(v.name)
-    // θ_X: constant comparisons involving only this variable.
-    unified.comparisons.filter(c => c.isVarConst && c.variables == Vector(v))
-      .foreach(c => dom = dom.where(DatalogEval.comparisonCol(c)))
+    pushed(unified, v).foreach(c => dom = dom.where(DatalogEval.comparisonCol(c)))
     // Single partition: domains are small, and a CartesianProduct (the FULL
     // enumeration cross-joins them with broadcast joins disabled) multiplies
     // its inputs' partition counts — 8^n partitions otherwise.
     dom.coalesce(1)
   }
+
+  /** [[varDomain]]'s definition apart from the variable's name: the
+    * (relation, position) pairs it occurs at and its pushed comparisons.
+    * Variables with equal keys have equal domains.
+    */
+  def domainKey(unified: Rule, v: Var): (Set[(String, Int)], Set[Comparison]) = {
+    def anon(t: Term): Term = if (t == v) Var("") else t
+    (unified.occurrences(v).map { case (ai, ti) => (unified.atoms(ai).relation, ti) }.toSet,
+      pushed(unified, v).map(c => Comparison(anon(c.left), c.op, anon(c.right))).toSet)
+  }
+
+  /** θ_X: the constant comparisons involving only `v`. */
+  private def pushed(unified: Rule, v: Var): Vector[Comparison] =
+    unified.comparisons.filter(c => c.isVarConst && c.variables == Vector(v))
 
   /** Apply variable–variable comparisons (`θ_join`, paper §5.2) and any
     * comparisons not already pushed into the per-variable domains.
@@ -73,49 +85,34 @@ object DerivationOps {
   }
 
   /** `Q_der` (paper §5.2 step 2): drop derivations whose head is an existing
-    * answer, by anti-joining against σ_t(Q) on the head variables that the
-    * p-tuple left unbound.
+    * answer, by anti-joining against σ_t(Q) (`answers`, columns `c0..`) on
+    * the head variables that the p-tuple left unbound.
     */
-  def removeExisting(
-      bind: DataFrame,
-      program: Program,
-      catalog: Catalog,
-      t: PTuple,
-      unified: Rule,
-  ): DataFrame = {
-    val answers = DatalogEval.restrictedAnswers(program, catalog, t)
+  def removeExisting(bind: DataFrame, answers: DataFrame, unified: Rule): DataFrame = {
     val headVarPos = unified.headArgs.zipWithIndex.collect { case (v: Var, i) => (v, i) }
-    if (headVarPos.isEmpty) {
-      // Fully ground head: it either exists (all derivations removed) or not.
-      bind.join(answers, lit(true), "left_anti")
-    } else {
-      val cond = headVarPos
-        .map { case (v, i) => bind(v.name) === answers(s"c$i") }
-        .reduce(_ && _)
-      bind.join(answers, cond, "left_anti")
-    }
+    // A fully ground head either exists (all derivations removed) or not.
+    val cond = headVarPos.map { case (v, i) => bind(v.name) === answers(s"c$i") }
+      .foldLeft(lit(true))(_ && _)
+    bind.join(answers, cond, "left_anti")
   }
 
   /** `Q_goals`/`Q_sample` annotation step (paper §5.2 step 3): left-outer
-    * join each body atom's (deduplicated) variable bindings and derive the
-    * boolean goal flag from marker existence — inverted for negated goals.
-    * Ground atoms (no variables after unification) are checked once,
-    * client-side. Output: input columns plus `g0..g(m-1)`.
+    * join each body atom's marker (the distinct bindings of its positive
+    * form, looked up by that form) and derive the boolean goal flag from
+    * marker existence — inverted for negated goals. A ground atom (no
+    * variables after unification) takes its flag from `holds`, the
+    * existence of its positive form. Output: input columns plus `g0..`.
     */
-  def annotate(bind: DataFrame, unified: Rule, catalog: Catalog): DataFrame = {
+  def annotate(bind: DataFrame, unified: Rule, markers: Atom => DataFrame,
+               holds: Atom => Boolean): DataFrame = {
     var df = bind
     val goalExprs = unified.atoms.zipWithIndex.map { case (atom, i) =>
-      val marker = s"__h$i"
-      if (atom.variables.isEmpty) {
-        // Ground goal: single existence check, constant flag for every row.
-        val exists = !DatalogEval.atomBindings(atom.copy(negated = false), catalog).isEmpty
-        lit(exists != atom.negated).as(s"g$i")
-      } else {
-        val m = DatalogEval.atomBindings(atom.copy(negated = false), catalog)
-          .distinct()
-          .withColumn(marker, lit(1))
-        df = df.join(m, atom.variables.map(_.name), "left_outer")
-        val flag = if (atom.negated) col(marker).isNull else col(marker).isNotNull
+      val positive = atom.copy(negated = false)
+      if (atom.variables.isEmpty) lit(holds(positive) != atom.negated).as(s"g$i")
+      else {
+        val m = s"__h$i"
+        df = df.join(markers(positive).withColumn(m, lit(1)), atom.variables.map(_.name), "left_outer")
+        val flag = if (atom.negated) col(m).isNull else col(m).isNotNull
         flag.as(s"g$i")
       }
     }
@@ -127,27 +124,24 @@ object DerivationOps {
     * variables) whose ground comparisons hold: zero rows if the rule
     * contributes nothing (for Why, a goal fails; for Whynot, every goal
     * holds or the head exists), otherwise one row holding only goal columns.
+    * `holds`: a positive ground atom exists; `answerExists`: σ_t(Q) ≠ ∅.
     */
   def groundDerivation(
       spark: SparkSession,
-      program: Program,
       unified: Rule,
-      catalog: Catalog,
-      t: PTuple,
+      holds: Atom => Boolean,
       qtype: PQType,
+      answerExists: => Boolean,
   ): DataFrame = {
     val m    = unified.atoms.size
     val unit = spark.range(1).drop("id")
     val empty = spark.range(0).drop("id")
       .select(goalCols(m).map(g => lit(false).as(g)): _*)
-    val flags = unified.atoms.map { atom =>
-      val exists = !DatalogEval.atomBindings(atom.copy(negated = false), catalog).isEmpty
-      exists != atom.negated
-    }
+    val flags     = unified.atoms.map(atom => holds(atom.copy(negated = false)) != atom.negated)
     val succeeded = flags.forall(identity)
     val wanted = qtype match {
       case Why    => succeeded
-      case Whynot => !succeeded && DatalogEval.restrictedAnswers(program, catalog, t).isEmpty
+      case Whynot => !succeeded && !answerExists
     }
     if (!wanted) empty
     else unit.select(flags.zipWithIndex.map { case (f, i) => lit(f).as(s"g$i") }: _*)

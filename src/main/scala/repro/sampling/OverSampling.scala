@@ -71,9 +71,10 @@ object OverSampling {
   }
 
   /** Minimum `n_OS >= n_S` with `tailAtLeast(n_OS, n_S, p) >= pSuccess`,
-    * capped at `cap`. When the cap binds, it is returned silently: no
-    * caller logs it, and the success probability actually achieved,
-    * `tailAtLeast(cap, n_S, p)`, is then lower than `pSuccess`.
+    * capped at `cap`. When the cap binds, the cap is returned and the
+    * success probability actually achieved, `tailAtLeast(cap, n_S, p)`, is
+    * lower than `pSuccess`; the sampler reports it as
+    * `RuleSample.achievedPSuccess`.
     */
   def minOverSample(nS: Long, p: Double, pSuccess: Double, cap: Long = 10_000_000L): Long = {
     require(nS >= 1, s"nS=$nS")

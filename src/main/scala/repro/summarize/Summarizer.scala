@@ -32,6 +32,9 @@ object Summarizer {
   ) {
     /** Estimated |Prov(Φ)| — the sum of per-rule estimates. */
     def provEstimate: Double = ruleSamples.map(_.provEstimate).sum
+
+    /** The lowest `P_success` achieved by a rule sample (1.0 if none). */
+    def achievedPSuccess: Double = ruleSamples.map(_.achievedPSuccess).minOption.getOrElse(1.0)
   }
 
   final case class Config(
@@ -69,10 +72,10 @@ object Summarizer {
       if (cfg.full) BatchSampler.Exact
       else BatchSampler.Config(nS = cfg.nS, pSuccess = cfg.pSuccess, seed = cfg.seed, nOSCap = cfg.nOSCap)
 
-    // Stage 1: per-rule provenance samples (the count() inside the sampler
-    // materializes the cached sample, so the timing covers the real work).
+    // Stage 1: per-rule provenance samples, one sampler call per question
+    // (its count()s materialize the cached samples: the timing is real work).
     val (samples, sampleMs) = timed {
-      program.rules.flatMap(r => BatchSampler.sample(spark, program, r, catalog, pq, samplerCfg))
+      BatchSampler.sampleRules(spark, program, program.rules, catalog, pq, samplerCfg)
     }
     if (samples.isEmpty)
       return Result(pq, TopK.Summary(Vector.empty, 0, 0, 0, 0, 0, optimal = true, 0),

@@ -13,34 +13,34 @@ class BatchSamplerSpec extends SparkSpec {
   private val tAirbnb     = PTuple("AL", Vector(Var("N"), Const("shared")))
   private val cfg         = BatchSampler.Config(nS = 50, seed = 7L)
 
-  test("sampleWithReplacement draws exactly n values from the domain") {
+  test("draw takes exactly n values from the domain") {
     import spark.implicits._
-    val dom = Seq(10L, 20L, 30L).toDF("v")
-    val s   = BatchSampler.sampleWithReplacement(spark, dom, 3, 100, 1L, "X")
+    val dom = Seq(10L, 20L, 30L).toDF("X")
+    val s   = BatchSampler.draw(spark, Seq((dom, 3L)), 100, 1L)
     assert(s.count() == 100)
     val values = s.select("X").collect().map(_.getLong(0)).toSet
     assert(values.subsetOf(Set(10L, 20L, 30L)))
     // With 100 draws over 3 values, all values appear w.h.p. (deterministic seed).
     assert(values == Set(10L, 20L, 30L))
-    // Zip ids are 0..n-1, each exactly once.
+    // Draw ids are 0..n-1, each exactly once.
     val ids = s.select("__sid").collect().map(_.getLong(0)).sorted
     assert(ids.toSeq == (0L until 100L))
   }
 
-  test("sampleWithReplacement is deterministic in the seed") {
+  test("draw is deterministic in the seed") {
     import spark.implicits._
-    val dom = Seq(1L, 2L, 3L, 4L).toDF("v")
+    val dom = Seq(1L, 2L, 3L, 4L).toDF("X")
     def draw(seed: Long) = BatchSampler
-      .sampleWithReplacement(spark, dom, 4, 50, seed, "X")
+      .draw(spark, Seq((dom, 4L)), 50, seed)
       .orderBy("__sid").collect().map(_.getLong(1)).toSeq
     assert(draw(5L) == draw(5L))
     assert(draw(5L) != draw(6L))
   }
 
-  test("sampleWithReplacement is roughly uniform") {
+  test("draw is roughly uniform") {
     import spark.implicits._
-    val dom = (1L to 10L).toDF("v")
-    val s = BatchSampler.sampleWithReplacement(spark, dom, 10, 10000, 3L, "X")
+    val dom = (1L to 10L).toDF("X")
+    val s = BatchSampler.draw(spark, Seq((dom, 10L)), 10000, 3L)
     val counts = s.groupBy("X").count().collect().map(_.getLong(1))
     assert(counts.length == 10)
     // Expected 1000 per value; allow ±20%.
@@ -164,6 +164,16 @@ class BatchSamplerSpec extends SparkSpec {
       Queries.whynotAirbnb, BatchSampler.Config(nS = 100, seed = 42L, fullEnumFactor = 0.0)).get
     assert((forced.exact, forced.sampleCount, forced.nOS) == ((false, 98L, 100L)))
     assert(digest(forced) == "9a2125c4f6ff409762795bf0a84eeb9147a8a772eb90783cd18f52116aae7a73")
+    // The three rules of a union, sampled in one question scope.
+    val r4 = BatchSampler.sampleRules(spark, Queries.r4, Queries.r4.rules, Datasets.movies(spark, 100),
+      Queries.whynotR4, BatchSampler.Config(nS = 30, seed = 42L))
+    assert(r4.map(s => (s.rule.name, s.exact, s.sampleCount, s.nOS)) ==
+      Vector(("r4", false, 30L, 30L), ("r4p", false, 30L, 30L), ("r4pp", false, 30L, 30L)))
+    assert(r4.map(digest) == Vector(
+      "2e3c24ff861ef7c24beafa8ad560cc59a53cdb7143afc9eac55b9d6011bd9dd4",
+      "fc08b66ee522bd604b8836964da3a540439689e5aae853ac2b4e274d66b85bfd",
+      "b147bdda1e4127b29e9a8b10d723043dfc5354da7e8057fcbc071e98879b5d95"))
+    assert(r4.forall(_.provEstimate == 4.032346485189536E22))
   }
 
   test("takeN is deterministic and bounded") {

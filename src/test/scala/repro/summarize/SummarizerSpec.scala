@@ -87,6 +87,8 @@ class SummarizerSpec extends SparkSpec {
       (Queries.r1, lic, Queries.whynotR1, Summarizer.Config(nS = 200)), // sampled why-not
       (Queries.r1, lic, Queries.whyR1, Summarizer.Config(nS = 10)),     // why, cut to n_S
       (Queries.airbnb, airbnb, Queries.whynotAirbnb, Summarizer.Config(full = true)),
+      // a union: its rules share domains, σ_t(Q) and goal markers
+      (Queries.r4, Datasets.movies(spark, 80), Queries.whynotR4, Summarizer.Config(nS = 60)),
     ).foreach { case (program, cat, pq, cfg) =>
       spark.catalog.clearCache()
       val before = spark.sparkContext.getPersistentRDDs.size
@@ -95,6 +97,23 @@ class SummarizerSpec extends SparkSpec {
       assert(spark.sparkContext.getPersistentRDDs.size - before == res.ruleSamples.size, pq)
       res.ruleSamples.foreach(_.sample.unpersist())
     }
+  }
+
+  test("achieved P_success falls below the requested one when n_OS is capped") {
+    // Both head variables open: existing answers make p_draw < 1, so n_S
+    // draws cannot reach n_S derivations with probability 0.999.
+    val pq = ProvQuestion(PTuple("AL", Vector(Var("N"), Var("R"))), Whynot)
+    val capped = Summarizer.summarize(spark, Queries.airbnb, airbnb, pq,
+      Summarizer.Config(nS = 100, nOSCap = 100))
+    val s = capped.ruleSamples.head
+    assert(!s.exact && s.nOS == 100)
+    assert(capped.achievedPSuccess < 0.999)
+    assert(capped.achievedPSuccess == s.achievedPSuccess)
+    val free = Summarizer.summarize(spark, Queries.airbnb, airbnb, pq, Summarizer.Config(nS = 100))
+    assert(free.achievedPSuccess >= 0.999)
+    val full = Summarizer.summarize(spark, Queries.airbnb, airbnb, pq, Summarizer.Config(full = true))
+    assert(full.achievedPSuccess == 1.0)
+    (capped.ruleSamples ++ free.ruleSamples ++ full.ruleSamples).foreach(_.sample.unpersist())
   }
 
   test("union query: summary draws patterns per rule and weights them") {
