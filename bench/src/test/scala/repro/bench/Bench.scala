@@ -31,12 +31,6 @@ object Bench {
   def pinned(cat: Catalog): Catalog =
     cat.relationNames.foldLeft(cat)((c, n) => c.withRelation(n, c.relation(n).localCheckpoint(eager = true)))
 
-  def timeMs[A](body: => A): (A, Long) = {
-    val t0 = System.nanoTime()
-    val a  = body
-    (a, (System.nanoTime() - t0) / 1000000L)
-  }
-
   /** Run `body` with a wall-clock budget, cancelling its Spark jobs on
     * expiry — mirrors the paper's 30-minute experiment timeout (we use a
     * smaller one; timed-out cells are reported as such, like the omitted
@@ -116,7 +110,7 @@ object Bench {
       pq: ProvQuestion,
       cfg: Summarizer.Config,
   ): (Summarizer.Result, Seq[String]) = {
-    val (res, total) = timeMs(Summarizer.summarize(spark, program, catalog, pq, cfg))
+    val (res, total) = Summarizer.timed(Summarizer.summarize(spark, program, catalog, pq, cfg))
     val t = res.times
     (res, Seq(name, sci(res.provEstimate),
       ms(t.sampleMs), ms(t.lcaMs), ms(t.matchMs), ms(t.topkMs), ms(total),

@@ -20,11 +20,11 @@ class Fig12ComparisonBench extends SparkSpec {
     val rows = for (n <- Seq(1400L, 5000L, 11000L, 22000L)) yield {
       val cat = Bench.pinned(Datasets.crimeWitness(spark, n))
       val nS  = (n / 10).toInt
-      val (pug, pugMs) = Bench.timeMs(Summarizer.summarize(spark, Queries.crimeDesc,
+      val (pug, pugMs) = Summarizer.timed(Summarizer.summarize(spark, Queries.crimeDesc,
         cat, Queries.whynotCrimeDesc, Summarizer.Config(nS = nS, k = 5)))
       val timeout = 300
       val artemis = Bench.withTimeout(spark, timeout) {
-        Bench.timeMs(ArtemisSim.explain(spark, Queries.crimeDesc, cat,
+        Summarizer.timed(ArtemisSim.explain(spark, Queries.crimeDesc, cat,
           Queries.whynotCrimeDesc))
       }
       val (artMs, artTop) = artemis match {
@@ -49,9 +49,9 @@ class Fig12ComparisonBench extends SparkSpec {
   test("Fig 12b: PUG-Summ vs single-derivation on r1 why-not") {
     val rows = for (n <- Seq(1000L, 5000L, 20000L, 50000L)) yield {
       val cat = Bench.pinned(Datasets.license(spark, n))
-      val (_, singleMs) = Bench.timeMs(
+      val (_, singleMs) = Summarizer.timed(
         SingleDerivation.explain(spark, Queries.r1, cat, Queries.whynotR1))
-      val (res, pugMs) = Bench.timeMs(Summarizer.summarize(spark, Queries.r1, cat,
+      val (res, pugMs) = Summarizer.timed(Summarizer.summarize(spark, Queries.r1, cat,
         Queries.whynotR1, Summarizer.Config(nS = 1000, k = 3)))
       Seq(n.toString, singleMs.toString, pugMs.toString,
         f"${pugMs.toDouble / math.max(1, singleMs)}%.1fx", Bench.f3(res.summary.cpLow))

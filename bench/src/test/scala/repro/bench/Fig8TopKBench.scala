@@ -2,8 +2,8 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.data.{Datasets, Queries}
-import repro.sampling.BatchSampler
-import repro.summarize.{Coverage, Lca, TopK}
+import repro.datalog.{Catalog, Program, ProvQuestion}
+import repro.summarize.{Summarizer, TopK}
 
 /** Fig 8 reproduction: runtime of the top-k construction step alone,
   * varying k from 1 to 10, with the patterns (candidates + completeness
@@ -11,16 +11,13 @@ import repro.summarize.{Coverage, Lca, TopK}
   */
 class Fig8TopKBench extends SparkSpec {
 
-  /** Produce the pattern pool for a (query, question) pair at sample size nS. */
-  private def patterns(program: repro.datalog.Program, cat: repro.datalog.Catalog,
-                       pq: repro.datalog.ProvQuestion, nS: Int) = {
-    val cfg = BatchSampler.Config(nS = nS, seed = 42L)
-    BatchSampler.sampleRules(spark, program, program.rules, cat, pq, cfg).flatMap { s =>
-      val c       = Lca.candidates(s.sample, s.varCols, s.goalColNames)
-      val counted = Coverage.matchCounts(c, s.sample, s.varCols, s.goalColNames)
-      Coverage.collectPatterns(s.rule.name, counted, s.varCols, s.goalColNames,
-        s.sampleCount, 1.0)
-    }
+  /** The pattern pool the summarizer builds for a (query, question) pair at
+    * sample size nS: every rule's patterns, union rules weighted.
+    */
+  private def patterns(program: Program, cat: Catalog, pq: ProvQuestion, nS: Int) = {
+    val res = Summarizer.summarize(spark, program, cat, pq, Summarizer.Config(nS = nS, seed = 42L))
+    res.ruleSamples.foreach(_.sample.unpersist())
+    res.allPatterns
   }
 
   test("Fig 8: top-k runtime for k = 1..10 with patterns as input") {
@@ -36,7 +33,7 @@ class Fig8TopKBench extends SparkSpec {
       (name, pool) <- cases
       k <- 1 to 10
     } yield {
-      val (s, t) = Bench.timeMs(TopK.summarize(pool, k))
+      val (s, t) = Summarizer.timed(TopK.summarize(pool, k))
       Seq(name, pool.size.toString, k.toString, Bench.ms(t),
         Bench.f3(s.cpLow), Bench.f3(s.info), s.optimal.toString, s.pops.toString)
     }

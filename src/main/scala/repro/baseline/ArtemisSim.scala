@@ -31,13 +31,11 @@ object ArtemisSim {
       catalog: Catalog,
       pq: ProvQuestion,
   ): Vector[(Pattern, Double)] = {
-    val perRule = program.rules.flatMap { r =>
-      BatchSampler.sample(spark, program, r, catalog, pq, BatchSampler.Exact).map { s =>
-        // all-derivations: the whole space, client-side
-        val rows = try s.sample.collect() finally s.sample.unpersist()
-        (r.name, s.varCols.size, rows)
-      }
-    }
+    // all-derivations: the whole space, client-side
+    val samples = BatchSampler.sampleRules(spark, program, program.rules, catalog, pq, BatchSampler.Exact)
+    val perRule =
+      try samples.map(s => (s.rule.name, s.varCols.size, s.sample.collect()))
+      finally samples.foreach(_.sample.unpersist())
     val total = perRule.map(_._3.length.toLong).sum.toDouble
     if (total == 0) return Vector.empty
 

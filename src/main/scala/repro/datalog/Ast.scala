@@ -120,8 +120,6 @@ final case class Program(rules: Vector[Rule]) {
     s"UCQ rules must share one head predicate, got ${rules.map(_.headPred).distinct}")
   require(rules.map(_.headArgs.size).distinct.size == 1,
     "UCQ rules must share head arity")
-  def headPred: String = rules.head.headPred
-  def headArity: Int   = rules.head.headArgs.size
 }
 
 object Program {

@@ -66,12 +66,11 @@ object DatalogEval {
 
   /** All successful valuations of the rule: one column per rule variable
     * (named by the variable), one row per derivation in the why provenance
-    * sense (all goals succeed, all comparisons hold). Distinct.
+    * sense (all goals succeed, all comparisons hold). Distinct. A ground
+    * rule has no column and one empty row when its body holds, else none.
     */
   def bindings(rule: Rule, catalog: Catalog): DataFrame = {
     require(rule.isSafe, s"rule ${rule.name} is unsafe")
-    require(rule.variables.nonEmpty,
-      s"rule ${rule.name}: fully ground rules are handled by the caller")
     catalog.validate(rule)
 
     val positives = rule.positiveAtoms.map(a => atomBindings(a, catalog))

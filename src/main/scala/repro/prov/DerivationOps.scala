@@ -1,6 +1,6 @@
 package repro.prov
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.datalog._
 
@@ -98,52 +98,21 @@ object DerivationOps {
 
   /** `Q_goals`/`Q_sample` annotation step (paper §5.2 step 3): left-outer
     * join each body atom's marker (the distinct bindings of its positive
-    * form, looked up by that form) and derive the boolean goal flag from
-    * marker existence — inverted for negated goals. A ground atom (no
-    * variables after unification) takes its flag from `holds`, the
-    * existence of its positive form. Output: input columns plus `g0..`.
+    * form, looked up by that form) on the atom's variables and derive the
+    * boolean goal flag from marker existence — inverted for negated goals.
+    * A ground atom's marker has no column and at most one row, so its join
+    * is keyless. Output: input columns plus `g0..`.
     */
-  def annotate(bind: DataFrame, unified: Rule, markers: Atom => DataFrame,
-               holds: Atom => Boolean): DataFrame = {
+  def annotate(bind: DataFrame, unified: Rule, markers: Atom => DataFrame): DataFrame = {
     var df = bind
     val goalExprs = unified.atoms.zipWithIndex.map { case (atom, i) =>
-      val positive = atom.copy(negated = false)
-      if (atom.variables.isEmpty) lit(holds(positive) != atom.negated).as(s"g$i")
-      else {
-        val m = s"__h$i"
-        df = df.join(markers(positive).withColumn(m, lit(1)), atom.variables.map(_.name), "left_outer")
-        val flag = if (atom.negated) col(m).isNull else col(m).isNotNull
-        flag.as(s"g$i")
-      }
+      val m = s"__h$i"
+      df = df.join(markers(atom.copy(negated = false)).withColumn(m, lit(1)),
+        atom.variables.map(_.name), "left_outer")
+      val flag = if (atom.negated) col(m).isNull else col(m).isNotNull
+      flag.as(s"g$i")
     }
     val keep = bind.columns.map(col).toSeq ++ goalExprs
     df.select(keep: _*)
-  }
-
-  /** The annotated derivation of a fully ground unified rule (no unbound
-    * variables) whose ground comparisons hold: zero rows if the rule
-    * contributes nothing (for Why, a goal fails; for Whynot, every goal
-    * holds or the head exists), otherwise one row holding only goal columns.
-    * `holds`: a positive ground atom exists; `answerExists`: σ_t(Q) ≠ ∅.
-    */
-  def groundDerivation(
-      spark: SparkSession,
-      unified: Rule,
-      holds: Atom => Boolean,
-      qtype: PQType,
-      answerExists: => Boolean,
-  ): DataFrame = {
-    val m    = unified.atoms.size
-    val unit = spark.range(1).drop("id")
-    val empty = spark.range(0).drop("id")
-      .select(goalCols(m).map(g => lit(false).as(g)): _*)
-    val flags     = unified.atoms.map(atom => holds(atom.copy(negated = false)) != atom.negated)
-    val succeeded = flags.forall(identity)
-    val wanted = qtype match {
-      case Why    => succeeded
-      case Whynot => !succeeded && !answerExists
-    }
-    if (!wanted) empty
-    else unit.select(flags.zipWithIndex.map { case (f, i) => lit(f).as(s"g$i") }: _*)
   }
 }

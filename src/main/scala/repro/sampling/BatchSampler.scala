@@ -111,9 +111,9 @@ object BatchSampler {
     * (paper §4–§5), exact or sampled, in rule order: columns = unbound
     * variables of the unified rule + `g0..g(m-1)`. Each rule is unified
     * with the p-tuple and its ground comparisons are checked once; then one
-    * branch runs:
+    * branch runs (a ground rule, one with no unbound variable, takes it too:
+    * its binding space is one empty binding):
     *
-    *  - ground rule (no unbound variable): its one derivation, exact;
     *  - why: the successful derivations are the satisfying valuations of
     *    the body (PUG instrumentation, §4), every goal T; exact when there
     *    are at most `n_S`, else `n_S` of them kept uniformly;
@@ -149,10 +149,6 @@ object BatchSampler {
       else Some(RuleSample(r, u, s, u.unboundVars.map(_.name), DerivationOps.goalCols(u.rule.atoms.size),
         c, nOS, estimate.getOrElse(c.toDouble), estimate.isEmpty, pAchieved)).map { rs => kept += rs; rs }
     }
-    val groundHolds = mutable.Map.empty[Atom, Boolean]
-    def holds(a: Atom): Boolean =
-      groundHolds.getOrElseUpdate(a, !DatalogEval.atomBindings(a, catalog).isEmpty)
-
     try {
       // Why-not: σ_t(Q) and each distinct domain, keyed by its definition,
       // built once; all their sizes come from one aggregate action.
@@ -174,7 +170,7 @@ object BatchSampler {
 
       // Per why-not rule, its bindings before θ_join and Q_der, with n_OS,
       // p_draw and the provenance estimate (None when enumerated exactly).
-      val bound = unified.filter(pq.qtype == Whynot && _._2.unboundVars.nonEmpty).flatMap { case (_, u) =>
+      val bound = unified.filter(_ => pq.qtype == Whynot).flatMap { case (_, u) =>
         val ds        = u.unboundVars.map(domain(u, _))
         val domSize   = u.unboundVars.zip(ds.map(_._2)).toMap
         val spaceSize = ds.map(_._2.toDouble).product
@@ -182,8 +178,10 @@ object BatchSampler {
         else if (spaceSize <= cfg.fullEnumFactor * cfg.nS)
           // Small space: enumerate exactly instead of sampling. (A small
           // provenance inside a huge space must still be sampled — enumeration
-          // cost is O(spaceSize), not O(provenance).)
-          Some(u -> (ds.map(_._1).reduce(_.crossJoin(_)), 0L, 1.0, None))
+          // cost is O(spaceSize), not O(provenance).) A ground rule's space
+          // is one empty binding.
+          Some(u -> (ds.map(_._1).reduceOption(_.crossJoin(_))
+            .getOrElse(spark.range(0, 1, 1, 1).drop("id")), 0L, 1.0, None))
         else {
           // p_notProv: fraction of the space deriving an existing answer matching t
           // (paper §5.3). #derivations per existing answer = Π over existential
@@ -213,16 +211,14 @@ object BatchSampler {
       // Goal markers (distinct bindings of each positive body atom), shared
       // by the rules of a union; cached when read twice.
       val markers = bound.keys.toSeq
-        .flatMap(_.rule.atoms.filter(_.variables.nonEmpty).map(_.copy(negated = false)))
+        .flatMap(_.rule.atoms.map(_.copy(negated = false)))
         .groupBy(identity).map { case (a, uses) =>
           val m = DatalogEval.atomBindings(a, catalog).distinct()
           a -> (if (uses.size > 1) share(m) else m)
         }
 
       unified.foreach { case (r, u) =>
-        if (u.unboundVars.isEmpty)
-          keep(r, u, DerivationOps.groundDerivation(spark, u.rule, holds, pq.qtype, nExisting > 0))
-        else if (pq.qtype == Why)
+        if (pq.qtype == Why)
           keep(r, u, DatalogEval.bindings(u.rule, catalog).select(u.unboundVars.map(v => col(v.name)) ++
             DerivationOps.goalCols(u.rule.atoms.size).map(g => lit(true).as(g)): _*))
             .filter(_.sampleCount > cfg.nS).foreach { whole => // cut to n_S
@@ -234,7 +230,7 @@ object BatchSampler {
           val joined = DerivationOps.applyJoinComparisons(b, u.rule)
           val der = DerivationOps.annotate(
             if (nExisting == 0) joined else DerivationOps.removeExisting(joined, inputs("σ_t(Q)"), u.rule),
-            u.rule, markers, holds)
+            u.rule, markers)
           if (estimate.isEmpty) keep(r, u, der)
           else keep(r, u, takeN(der.distinct(), cfg.nS, cfg.seed), nOS, estimate,
             OverSampling.tailAtLeast(nOS, cfg.nS, pDraw))

@@ -52,7 +52,8 @@ object Summarizer {
       full: Boolean = false,
   )
 
-  private def timed[A](body: => A): (A, Long) = {
+  /** `body`'s result and its wall-clock time in milliseconds. */
+  def timed[A](body: => A): (A, Long) = {
     val t0 = System.nanoTime()
     val a  = body
     (a, (System.nanoTime() - t0) / 1000000L)

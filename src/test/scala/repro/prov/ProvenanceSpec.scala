@@ -5,6 +5,7 @@ import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.data.{Datasets, Queries}
 import repro.datalog._
+import repro.sampling.BatchSampler
 
 /** Ground-truth provenance checks straight from the paper's examples:
   * Fig 1/Ex 1 (2160 why-not derivations for AL(N, shared)), the Fig 3
@@ -160,6 +161,35 @@ class ProvenanceSpec extends SparkSpec {
   test("ground derivation helper: violated comparison yields empty") {
     val t  = PTuple("Qex", Vector(Const(5L), Const(4L))) // 5 < 4 is false
     assert(exact(Queries.rEx, rex, t, Whynot).isEmpty)
+  }
+
+  test("ground rules and ground goals: rows, exactness and estimate") {
+    def r(a: Term, b: Term, negated: Boolean = false) = Atom("R", Vector(a, b), negated)
+    val (a, b, z) = (Var("A"), Var("B"), Var("Z"))
+    // s unifies to a ground rule for a ground question; g keeps Z but has
+    // two ground goals, one negated.
+    val s = Program(Rule("s", "Q", Vector(a, b), Vector(r(a, b), r(b, a, negated = true))))
+    val g = Program(Rule("g", "P", Vector(a),
+      Vector(r(a, z), r(Const(2L), Const(3L)), r(Const(3L), Const(2L), negated = true))))
+    def ask(p: Program, args: Seq[Long], qtype: PQType): Option[(Set[Seq[Any]], Double)] = {
+      val pq = ProvQuestion(PTuple(p.rules.head.headPred, args.map(Const(_)).toVector), qtype)
+      BatchSampler.sample(spark, p, p.rules.head, rex, pq, BatchSampler.Exact).map { rs =>
+        assert(rs.exact, pq)
+        try (rs.sample.collect().map(_.toSeq).toSet, rs.provEstimate) finally rs.sample.unpersist()
+      }
+    }
+    spark.catalog.clearCache()
+    val before = spark.sparkContext.getPersistentRDDs.size
+    assert(ask(s, Seq(5L, 5L), Whynot) == Some((Set(Seq(true, false)), 1.0)))
+    assert(ask(s, Seq(2L, 1L), Whynot) == Some((Set(Seq(false, false)), 1.0)))
+    assert(ask(s, Seq(1L, 2L), Whynot).isEmpty) // an existing answer
+    assert(ask(s, Seq(1L, 2L), Why) == Some((Set(Seq(true, true)), 1.0)))
+    assert(ask(s, Seq(5L, 5L), Why).isEmpty)
+    assert(ask(g, Seq(4L), Whynot) ==
+      Some(((2L to 6L).map(v => Seq[Any](v, false, true, true)).toSet, 5.0)))
+    assert(ask(g, Seq(1L), Why) == Some((Set(Seq[Any](2L, true, true, true)), 1.0)))
+    assert(ask(g, Seq(1L), Whynot).isEmpty)
+    assert(spark.sparkContext.getPersistentRDDs.size == before)
   }
 
   test("why-not of an existing answer is empty") {
